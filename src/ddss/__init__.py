@@ -10,8 +10,7 @@ from .model import (GroupL2Norm, L1Norm, LogisticLoss, ModelSpec, SquaredLoss,
 from .screening import (ActiveSet, ScreeningReport, ScreeningSafetyError,
                         equicorrelation_set, screen_pass)
 from .sequential import (DivergenceError, OracleError, SolveResult,
-                         SolverConfig, ddss_naive_sequential, ddss_sequential,
-                         oracle_solve, solve_sequential)
+                         SolverConfig, oracle_solve, solve_sequential)
 from .shared_mem import SharedIterate, solve_shared
 from .distributed import Message, Tag, dist_solve
 from .trace import (RunSummary, TraceRecord, read_trace, traces_equal,
@@ -25,9 +24,8 @@ __all__ = [
     "ParseError", "RunSummary", "ScreeningReport", "ScreeningSafetyError",
     "SharedIterate", "SolveResult", "SolverConfig", "SparseDataset",
     "SquaredLoss", "SupportMap", "Tag", "TraceRecord", "build_support_map",
-    "column_dual_norms", "ddss_naive_sequential", "ddss_sequential",
-    "dist_solve", "duality_gap", "equicorrelation_set", "lambda_max",
-    "oracle_solve", "parse_libsvm", "primal_objective", "read_trace",
-    "screen_pass", "smoothness_constant", "solve_sequential", "solve_shared",
-    "traces_equal", "validate_trace", "write_trace",
+    "column_dual_norms", "dist_solve", "duality_gap", "equicorrelation_set",
+    "lambda_max", "oracle_solve", "parse_libsvm", "primal_objective",
+    "read_trace", "screen_pass", "smoothness_constant", "solve_sequential",
+    "solve_shared", "traces_equal", "validate_trace", "write_trace",
 ]

@@ -178,16 +178,8 @@ def vr_estimate(ws, model, i_loc, x, z0_i_deriv, x0, grad0):
 
 def naive_proposal(ws, model, i_loc, xb, eta_t, lam):
     """Plain stochastic proximal step restricted to the touched blocks."""
-    rv = ws.rows_val[i_loc]
-    rp = ws.rpos[i_loc]
-    zhat = margin(rv, xb[rp])
-    c = model.loss.deriv(zhat, ws.targets[i_loc])
-    v = np.zeros_like(xb)
-    if len(rp):
-        v[rp] = c * rv
-    w = xb - eta_t * v
-    thr = np.full_like(xb, eta_t * lam)
-    return _prox_blocks(model.reg, w, thr, ws.block_offsets[i_loc])
+    v = naive_gradient(ws, model, i_loc, xb)
+    return naive_apply(model.reg, xb, v, eta_t, lam, ws.block_offsets[i_loc])
 
 
 def naive_gradient(ws, model, i_loc, xb):
@@ -203,11 +195,12 @@ def naive_gradient(ws, model, i_loc, xb):
     return v
 
 
-def naive_apply(ws, model, i_loc, xb, v, eta_t, lam):
-    """Server-side completion of a naive step: prox of xb - eta*v."""
+def naive_apply(reg, xb, v, eta_t, lam, block_offsets):
+    """Completion of a naive step: the blockwise prox of xb - eta_t * v
+    (in ``naive_proposal``, and on the distributed server)."""
     w = xb - eta_t * v
     thr = np.full_like(xb, eta_t * lam)
-    return _prox_blocks(model.reg, w, thr, ws.block_offsets[i_loc])
+    return _prox_blocks(reg, w, thr, block_offsets)
 
 
 def naive_step_size(eta0, t_global, K):

@@ -100,13 +100,18 @@ def split_inner(K, workers):
     return [base + (1 if w < rem else 0) for w in range(workers)]
 
 
-def run_epochs(model, data, config, inner_fn, pool=None, epoch_callback=None):
-    """Shared outer loop: screen at the epoch head, re-anchor, run inner_fn.
+def run_epochs(model, data, config, inner_fn, pool=None, epoch_callback=None,
+               gather=None):
+    """Shared outer loop of every backend: screen at the epoch head,
+    re-anchor, run inner_fn.
 
     ``inner_fn(s, ws, x, x0, z0_deriv, grad0, eta, K, lam)`` mutates ``x``
     in place and returns (coordinate_touches, staleness).
     ``epoch_callback(s, active, x_expanded)``, when given, observes the
     iterate after each epoch's inner loop.
+    ``gather(s, x)``, when given, returns the pre-reduced A_c^T u of the
+    epoch head (the distributed gradient gather); otherwise the head folds
+    it itself.
     """
     stats = precompute(model, data)
     lam, _ = model.lambdas(data.n)
@@ -124,8 +129,9 @@ def run_epochs(model, data, config, inner_fn, pool=None, epoch_callback=None):
     t0 = perf_counter()
 
     for s in range(config.epochs):
+        gsum = None if gather is None else gather(s, x)
         report, grad, _ys = evaluate_screen(
-            model, data, stats, active, ws.csr_c, x, pool=pool,
+            model, data, stats, active, ws.csr_c, x, gsum=gsum, pool=pool,
             force_screen=screen)
         if p_init is None:
             p_init = report.primal
@@ -163,7 +169,7 @@ def run_epochs(model, data, config, inner_fn, pool=None, epoch_callback=None):
 
     final_report, _, _ = evaluate_screen(
         model, data, stats, active, ws.csr_c, x, pool=pool,
-        force_screen=False if not screen else True)
+        force_screen=screen)
     x_full = active.expand(x)
     return SolveResult(
         x=x_full, trace=trace, final_objective=final_report.primal,
@@ -208,18 +214,6 @@ def solve_sequential(model, data, config, epoch_callback=None):
     return run_epochs(model, data, config,
                       _sequential_inner(model, data, config),
                       epoch_callback=epoch_callback)
-
-
-def ddss_sequential(model, data, config):
-    if config.mode != "ddss":
-        raise ValueError("ddss_sequential requires mode='ddss'")
-    return solve_sequential(model, data, config)
-
-
-def ddss_naive_sequential(model, data, config):
-    if config.mode != "ddss_naive":
-        raise ValueError("ddss_naive_sequential requires mode='ddss_naive'")
-    return solve_sequential(model, data, config)
 
 
 def spectral_norm(csr, tol=1e-12, maxiter=5000):

@@ -36,6 +36,16 @@ def lasso_model(data, ratio, mu_f=0.0, reg=None, partition=None):
                      mu_f=mu_f)
 
 
+def interleaved_group_lasso(n, p, density, seed, ratio):
+    """Group Lasso whose blocks [j, j + p/2] are not contiguous feature
+    ranges, so column selection over the active set leaves CSR rows
+    unsorted unless they are sorted explicitly."""
+    data = random_lasso(n, p, density, seed=seed)
+    half = p // 2
+    part = BlockPartition([[j, j + half] for j in range(half)], p)
+    return data, lasso_model(data, ratio, reg=GroupL2Norm(), partition=part)
+
+
 #: pass/fail lines recorded by the acceptance suite; echoed after the run so
 #: they stay visible even under pytest's output capture.
 ACCEPTANCE_LINES = []

@@ -1,13 +1,18 @@
+import itertools
+import threading
+
 import numpy as np
 import pytest
 
-from conftest import lasso_model, random_lasso
+import ddss.distributed
+from conftest import interleaved_group_lasso, lasso_model, random_lasso
 from ddss import traces_equal
 from ddss.distributed import (Message, Tag, decode_body, dist_solve, encode,
                               shard_ranges, _block_offsets_for)
 from ddss.model import primal_objective
 from ddss.screening import ActiveSet
-from ddss.sequential import SolverConfig, oracle_solve, solve_sequential
+from ddss.sequential import (DivergenceError, SolverConfig, oracle_solve,
+                             solve_sequential)
 from ddss import BlockPartition, parse_libsvm
 
 
@@ -70,16 +75,25 @@ class TestSharding:
 
 
 class TestSingleWorker:
-    @pytest.mark.parametrize("mode", ["ddss", "ddss_naive"])
-    def test_bit_identical_to_sequential(self, mode):
+    @pytest.mark.parametrize("mode,interleaved", [
+        ("ddss", False), ("ddss_naive", False),
+        ("ddss", True), ("ddss_naive", True)],
+        ids=["ddss", "ddss_naive", "ddss-interleaved-groups",
+             "ddss_naive-interleaved-groups"])
+    def test_bit_identical_to_sequential(self, mode, interleaved):
         for seed in range(5):
-            ds = random_lasso(40, 15, 0.7, seed=200 + seed)
-            m = lasso_model(ds, ratio=0.25)
+            if interleaved:
+                ds, m = interleaved_group_lasso(60, 16, 0.6, 200 + seed, 0.3)
+            else:
+                ds = random_lasso(40, 15, 0.7, seed=200 + seed)
+                m = lasso_model(ds, ratio=0.25)
             cfg = SolverConfig(epochs=5, seed=seed, mode=mode)
             seq = solve_sequential(m, ds, cfg)
             dst = dist_solve(m, ds, cfg, n_workers=1, sync=True)
             assert traces_equal(seq.trace, dst.trace)
             assert np.array_equal(seq.x, dst.x)
+            assert seq.final_objective == dst.final_objective
+            assert seq.final_gap == dst.final_gap
 
     def test_empty_row_keeps_naive_schedule(self):
         # a dataset with an empty sample row: empty delta pushes must still
@@ -215,3 +229,53 @@ class TestTcpTransport:
         with pytest.raises(ValueError):
             dist_solve(m, ds, SolverConfig(), n_workers=1,
                        transport="carrier-pigeon")
+
+
+def _raises_within(seconds, fn):
+    """Run ``fn`` in a daemon thread; return what it raised, failing the
+    test if it neither raised nor returned within ``seconds``."""
+    out = []
+
+    def body():
+        try:
+            fn()
+        except BaseException as exc:
+            out.append(exc)
+        else:
+            out.append(None)
+
+    th = threading.Thread(target=body, daemon=True)
+    th.start()
+    th.join(timeout=seconds)
+    assert out, f"still running after {seconds} s"
+    assert out[0] is not None, "no error raised"
+    return out[0]
+
+
+class TestWorkerFault:
+    @pytest.mark.parametrize("transport", ["loopback", "tcp"])
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_worker_error_ends_solve(self, monkeypatch, transport, workers):
+        calls = itertools.count(1)
+        real = ddss.distributed.vr_proposal
+
+        def faulty(*args, **kwargs):
+            if next(calls) >= 5:
+                raise ValueError("injected worker fault")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ddss.distributed, "vr_proposal", faulty)
+        ds = random_lasso(40, 12, 0.8, seed=5)
+        m = lasso_model(ds, ratio=0.3)
+        exc = _raises_within(10, lambda: dist_solve(
+            m, ds, SolverConfig(epochs=4, seed=0), n_workers=workers,
+            transport=transport))
+        assert isinstance(exc, RuntimeError)
+        assert isinstance(exc.__cause__, ValueError)
+
+    def test_server_divergence_releases_workers(self):
+        ds = random_lasso(30, 10, 1.0, seed=10)
+        m = lasso_model(ds, ratio=0.05)
+        exc = _raises_within(10, lambda: dist_solve(
+            m, ds, SolverConfig(epochs=30, seed=0, eta=500.0), n_workers=2))
+        assert isinstance(exc, DivergenceError)

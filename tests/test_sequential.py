@@ -10,7 +10,6 @@ from ddss.engine import EpochWorkspace, margin, vr_estimate
 from ddss.model import (GroupL2Norm, L1Norm, SquaredLoss, primal_objective)
 from ddss.screening import ActiveSet, precompute
 from ddss.sequential import (DivergenceError, OracleError, SolverConfig,
-                             ddss_naive_sequential, ddss_sequential,
                              oracle_solve, resolve_step, rng_for, split_inner,
                              solve_sequential)
 
@@ -212,7 +211,7 @@ class TestSequentialSolver:
     def test_trivial_lambda(self):
         ds = random_lasso(30, 10, 1.0, seed=8)
         m = lasso_model(ds, ratio=1.0)
-        res = ddss_sequential(m, ds, SolverConfig(epochs=3, seed=0))
+        res = solve_sequential(m, ds, SolverConfig(epochs=3, seed=0))
         assert res.trace[1].active_blocks == 0
         assert np.all(res.x == 0.0)
 
@@ -260,14 +259,6 @@ class TestSequentialSolver:
 
 
 class TestNaiveMode:
-    def test_mode_guards(self):
-        ds = random_lasso(10, 5, 1.0, seed=13)
-        m = lasso_model(ds, ratio=0.5)
-        with pytest.raises(ValueError):
-            ddss_sequential(m, ds, SolverConfig(mode="ddss_naive"))
-        with pytest.raises(ValueError):
-            ddss_naive_sequential(m, ds, SolverConfig(mode="ddss"))
-
     def test_converges_but_sublinear_tail(self):
         ds = random_lasso(60, 20, 1.0, seed=9, row_norm=np.sqrt(0.1))
         m = lasso_model(ds, ratio=0.1, mu_f=1e-2)
@@ -285,9 +276,9 @@ class TestNaiveMode:
     def test_single_sample_deterministic(self):
         ds = parse_libsvm("2.0 1:1 2:0.5")
         m = lasso_model(ds, ratio=0.2)
-        res = ddss_naive_sequential(
+        res = solve_sequential(
             m, ds, SolverConfig(epochs=4, seed=3, mode="ddss_naive"))
-        res2 = ddss_naive_sequential(
+        res2 = solve_sequential(
             m, ds, SolverConfig(epochs=4, seed=99, mode="ddss_naive"))
         # only one sample to draw: the seed cannot matter
         assert np.array_equal(res.x, res2.x)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import lasso_model, random_lasso
+from conftest import interleaved_group_lasso, lasso_model, random_lasso
 from ddss import traces_equal
 from ddss.model import primal_objective
 from ddss.sequential import SolverConfig, oracle_solve, solve_sequential
@@ -43,16 +43,25 @@ class TestSharedIterate:
 
 
 class TestSingleThread:
-    @pytest.mark.parametrize("mode", ["ddss", "ddss_naive"])
-    def test_bit_identical_to_sequential(self, mode):
+    @pytest.mark.parametrize("mode,interleaved", [
+        ("ddss", False), ("ddss_naive", False),
+        ("ddss", True), ("ddss_naive", True)],
+        ids=["ddss", "ddss_naive", "ddss-interleaved-groups",
+             "ddss_naive-interleaved-groups"])
+    def test_bit_identical_to_sequential(self, mode, interleaved):
         for seed in range(5):
-            ds = random_lasso(40, 15, 0.7, seed=100 + seed)
-            m = lasso_model(ds, ratio=0.25)
+            if interleaved:
+                ds, m = interleaved_group_lasso(60, 16, 0.6, 100 + seed, 0.3)
+            else:
+                ds = random_lasso(40, 15, 0.7, seed=100 + seed)
+                m = lasso_model(ds, ratio=0.25)
             cfg = SolverConfig(epochs=6, seed=seed, mode=mode)
             seq = solve_sequential(m, ds, cfg)
             shr = solve_shared(m, ds, cfg, threads=1)
             assert traces_equal(seq.trace, shr.trace)
             assert np.array_equal(seq.x, shr.x)
+            assert seq.final_objective == shr.final_objective
+            assert seq.final_gap == shr.final_gap
 
     def test_invalid_thread_count(self):
         ds = random_lasso(10, 5, 1.0, seed=0)
