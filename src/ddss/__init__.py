@@ -8,7 +8,7 @@ from .data import (BlockPartition, ParseError, SparseDataset, SupportMap,
 from .model import (GroupL2Norm, L1Norm, LogisticLoss, ModelSpec, SquaredLoss,
                     duality_gap, lambda_max, primal_objective)
 from .screening import (ActiveSet, ScreeningReport, ScreeningSafetyError,
-                        equicorrelation_set, screen_pass)
+                        equicorrelation_set)
 from .sequential import (DivergenceError, OracleError, SolveResult,
                          SolverConfig, oracle_solve, solve_sequential)
 from .shared_mem import SharedIterate, solve_shared
@@ -26,6 +26,6 @@ __all__ = [
     "SquaredLoss", "SupportMap", "Tag", "TraceRecord", "build_support_map",
     "column_dual_norms", "dist_solve", "duality_gap", "equicorrelation_set",
     "lambda_max", "oracle_solve", "parse_libsvm", "primal_objective",
-    "read_trace", "screen_pass", "smoothness_constant", "solve_sequential",
+    "read_trace", "smoothness_constant", "solve_sequential",
     "solve_shared", "traces_equal", "validate_trace", "write_trace",
 ]

@@ -17,8 +17,7 @@ class SparseDataset:
     """Dual-indexed sparse design matrix with regression targets.
 
     Rows (samples) and columns (features) of the same matrix are both kept,
-    as CSR/CSC plus per-row index/value arrays for the inner solver loops.
-    Immutable after construction.
+    as sorted CSR and CSC.  Immutable after construction.
     """
 
     def __init__(self, matrix, targets):
@@ -35,46 +34,19 @@ class SparseDataset:
         self.csc = csr.tocsc()
         self.csc.sort_indices()
         self.targets = targets
-        indptr = csr.indptr
-        self.row_idx = [csr.indices[indptr[i]:indptr[i + 1]] for i in range(self.n)]
-        self.row_val = [csr.data[indptr[i]:indptr[i + 1]] for i in range(self.n)]
-        self._chunks = None
 
     def row(self, i):
-        return self.row_idx[i], self.row_val[i]
+        a, b = self.csr.indptr[i], self.csr.indptr[i + 1]
+        return self.csr.indices[a:b], self.csr.data[a:b]
 
     def col(self, j):
         a, b = self.csc.indptr[j], self.csc.indptr[j + 1]
         return self.csc.indices[a:b], self.csc.data[a:b]
 
-    def value(self, i, j):
-        idx, val = self.row(i)
-        k = np.searchsorted(idx, j)
-        if k < len(idx) and idx[k] == j:
-            return float(val[k])
-        return 0.0
-
-    def value_by_col(self, i, j):
-        idx, val = self.col(j)
-        k = np.searchsorted(idx, i)
-        if k < len(idx) and idx[k] == i:
-            return float(val[k])
-        return 0.0
-
     def row_sq_norms(self):
         sq = self.csr.copy()
         sq.data **= 2
         return np.asarray(sq.sum(axis=1)).ravel()
-
-    def chunk_slices(self):
-        """Row-range CSR slices at the fixed reduction granularity."""
-        if self._chunks is None:
-            bounds = list(range(0, self.n, GRAD_CHUNK)) + [self.n]
-            self._chunks = [
-                (bounds[k], bounds[k + 1], self.csr[bounds[k]:bounds[k + 1]])
-                for k in range(len(bounds) - 1)
-            ]
-        return self._chunks
 
 
 def parse_libsvm(source, n_features=None):
@@ -228,22 +200,31 @@ def smoothness_constant(dataset, loss):
 
 
 def fold_partials(partials, p):
-    """Sum partial gradient vectors strictly in list order."""
+    """Sum partial gradient vectors strictly in the order given."""
     out = np.zeros(p)
     for part in partials:
         out += part
     return out
 
 
-def gradient_sum(dataset, u, pool=None):
-    """A^T u accumulated chunk-by-chunk in fixed order.
+def chunked_AT_u(csr, u, pool=None):
+    """csr.T @ u accumulated chunk by chunk and folded in chunk order.
 
     With a thread pool the chunk partials are computed in parallel but still
     folded in chunk order, so the result never depends on the worker count.
     """
-    chunks = dataset.chunk_slices()
-    if pool is None:
-        partials = [mat.T @ u[a:b] for a, b, mat in chunks]
-    else:
-        partials = list(pool.map(lambda c: c[2].T @ u[c[0]:c[1]], chunks))
-    return fold_partials(partials, dataset.p)
+    n, p = csr.shape
+    bounds = list(range(0, n, GRAD_CHUNK)) + [n]
+    ranges = list(zip(bounds[:-1], bounds[1:]))
+
+    def partial(r):
+        a, b = r
+        return csr[a:b].T @ u[a:b]
+
+    mapper = map if pool is None else pool.map
+    return fold_partials(mapper(partial, ranges), p)
+
+
+def gradient_sum(dataset, u, pool=None):
+    """A^T u of the whole dataset, by the order-stable chunk fold."""
+    return chunked_AT_u(dataset.csr, u, pool=pool)

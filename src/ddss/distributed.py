@@ -31,12 +31,12 @@ from enum import IntEnum
 
 import numpy as np
 
-from .data import fold_partials
-from .engine import (EpochWorkspace, naive_apply, naive_gradient,
-                     naive_step_size, vr_proposal)
+from .data import build_support_map, fold_partials, smoothness_constant
+from .engine import (EpochWorkspace, naive_apply, naive_step_size,
+                     run_steps)
 # evaluate_screen is unused here but stays bound: perfbench's HeadProbe
 # rebinds it in this module by name.
-from .screening import ActiveSet, evaluate_screen, precompute
+from .screening import ActiveSet, evaluate_screen
 from .sequential import resolve_step, rng_for, run_epochs, split_inner
 
 
@@ -292,8 +292,9 @@ def run_dist_server(model, data, config, endpoint, n_workers, sync=True):
                 break
         return fold_partials(partials, len(x))
 
-    def inner(s, ws, x, x0, z0_deriv, grad0, eta, K, lam):
+    def inner(s, ws, x, anchor):
         active = ws.active
+        _, _, grad0, eta, K, lam = anchor
         for w in range(n_workers):
             endpoint.send(w, Message(
                 Tag.GRAD_AND_ACTIVE, epoch=s, ids=active.blocks, vals=grad0))
@@ -348,82 +349,63 @@ def run_dist_server(model, data, config, endpoint, n_workers, sync=True):
 # ---------------------------------------------------------------------------
 # worker
 
+class _Shutdown(Exception):
+    """The server sent SHUTDOWN: the worker stops cleanly."""
+
+
+def _expect(endpoint, tag):
+    """The next message, which must carry ``tag``; SHUTDOWN at any point of
+    the protocol ends the worker (raised as ``_Shutdown``)."""
+    msg = endpoint.recv()
+    if msg.tag == Tag.SHUTDOWN:
+        raise _Shutdown
+    if msg.tag != tag:
+        raise RuntimeError(f"expected {tag.name}, got {msg.tag.name}")
+    return msg
+
+
 def run_dist_worker(model, data, config, endpoint, wid, n_workers):
     """Serve gather and inner phases until the server shuts us down."""
-    naive = config.mode == "ddss_naive"
-    stats = precompute(model, data)
+    step = "gradient" if config.mode == "ddss_naive" else "vr"
+    # a worker never screens: it needs the support map and L, not the
+    # column dual norms of the safe test
+    support = build_support_map(data, model.partition)
+    eta, K = resolve_step(config, model,
+                          smoothness_constant(data, model.loss), data.n)
     lam, _ = model.lambdas(data.n)
-    eta, K = resolve_step(config, model, stats, data.n)
-    splits = split_inner(K, n_workers)
-    a, b = shard_ranges(data.n, n_workers)[wid]
-    shard = np.arange(a, b)
-    n_local = len(shard)
+    k_w = split_inner(K, n_workers)[wid]
+    shard = np.arange(*shard_ranges(data.n, n_workers)[wid])
 
     active = ActiveSet(model.partition)
-    ws = EpochWorkspace(data, model.partition, stats.support, active,
+    ws = EpochWorkspace(data, model.partition, support, active,
                         sample_ids=shard)
-    while True:
-        msg = endpoint.recv()
-        if msg.tag == Tag.SHUTDOWN:
-            endpoint.close()
-            return
-        if msg.tag != Tag.FLAG_TRUE:
-            raise RuntimeError(f"expected FLAG_TRUE, got {msg.tag.name}")
-        s = msg.epoch
-        params = endpoint.recv()
-        if params.tag != Tag.PARAMS:
-            raise RuntimeError(f"expected PARAMS, got {params.tag.name}")
-        x = np.asarray(params.vals, dtype=np.float64).copy()
+    try:
+        while True:
+            s = _expect(endpoint, Tag.FLAG_TRUE).epoch
+            x = _expect(endpoint, Tag.PARAMS).vals
+            endpoint.send(Message(Tag.PARTIAL_GRAD, epoch=s,
+                                  vals=ws.partial_gradient(x, model.loss)))
 
-        partial = ws.partial_gradient(x, model.loss)
-        endpoint.send(Message(Tag.PARTIAL_GRAD, epoch=s, vals=partial))
+            ga = _expect(endpoint, Tag.GRAD_AND_ACTIVE)
+            if not np.array_equal(ga.ids, active.blocks):
+                active = ActiveSet(model.partition, ga.ids)
+                ws = EpochWorkspace(data, model.partition, support, active,
+                                    sample_ids=shard)
+            _expect(endpoint, Tag.FLAG_FALSE)
+            x = _expect(endpoint, Tag.PARAM_PUSH).vals
+            anchor = ws.anchor(model, x, ga.vals, eta, K, lam)
 
-        ga = endpoint.recv()
-        if ga.tag != Tag.GRAD_AND_ACTIVE:
-            raise RuntimeError(f"expected GRAD_AND_ACTIVE, got {ga.tag.name}")
-        new_blocks = ga.ids
-        grad0 = np.asarray(ga.vals, dtype=np.float64).copy()
-        if len(new_blocks) != active.q_s or np.any(
-                new_blocks != active.blocks):
-            active = ActiveSet(model.partition, new_blocks)
-            ws = EpochWorkspace(data, model.partition, stats.support, active,
-                                sample_ids=shard)
-
-        flag = endpoint.recv()
-        if flag.tag != Tag.FLAG_FALSE:
-            raise RuntimeError(f"expected FLAG_FALSE, got {flag.tag.name}")
-        prime = endpoint.recv()
-        if prime.tag != Tag.PARAM_PUSH:
-            raise RuntimeError(f"expected PARAM_PUSH, got {prime.tag.name}")
-        x = np.asarray(prime.vals, dtype=np.float64).copy()
-        x0 = x.copy()
-        z0 = ws.z_of(x0)
-        z0_deriv = model.loss.deriv(z0, ws.targets)
-
-        rng = rng_for(config.seed, wid, s)
-        for _ in range(splits[wid]):
-            i = int(rng.integers(n_local)) if n_local else 0
-            idx = ws.tf[i] if n_local else np.empty(0, dtype=np.int64)
-            if naive:
-                if len(idx):
-                    v = naive_gradient(ws, model, i, x[idx])
-                else:
-                    v = _EMPTY_VALS
+            def commit(idx, vals):
+                nonlocal x
                 endpoint.send(Message(Tag.DELTA_PUSH, epoch=s, ids=idx,
-                                      vals=v))
-            else:
-                if len(idx):
-                    delta = vr_proposal(ws, model, i, x[idx], z0_deriv[i],
-                                        x0[idx], grad0[idx], eta, lam)
-                else:
-                    delta = _EMPTY_VALS
-                endpoint.send(Message(Tag.DELTA_PUSH, epoch=s, ids=idx,
-                                      vals=delta))
-            reply = endpoint.recv()
-            if reply.tag != Tag.PARAM_PUSH:
-                raise RuntimeError(
-                    f"expected PARAM_PUSH, got {reply.tag.name}")
-            x = np.asarray(reply.vals, dtype=np.float64).copy()
+                                      vals=vals))
+                x = _expect(endpoint, Tag.PARAM_PUSH).vals
+
+            run_steps(ws, model, rng_for(config.seed, wid, s), k_w,
+                      lambda idx: x[idx], commit, anchor, step=step,
+                      commit_empty=True)
+    except _Shutdown:
+        endpoint.close()
 
 
 # ---------------------------------------------------------------------------

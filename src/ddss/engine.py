@@ -1,13 +1,31 @@
-"""Per-epoch compact views and the stochastic inner-step kernels.
+"""Per-epoch compact views, the stochastic step kernels and the step loop.
 
 All backends (sequential, shared-memory, distributed workers) run the same
-proposal functions on the same compact representations, so a single-worker
-run of any backend reproduces the sequential iterate stream bit for bit.
+step loop, ``run_steps``, with the same kernels on the same compact
+representations, so a single-worker run of any backend reproduces the
+sequential iterate stream bit for bit.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 
-from .screening import chunked_AT_u
+from .data import chunked_AT_u
+
+_NO_IDS = np.empty(0, dtype=np.int64)
+_NO_VALS = np.empty(0, dtype=np.float64)
+
+
+class Anchor(NamedTuple):
+    """What an epoch's steps read besides the iterate (z0_deriv[i] is
+    f'(a_i^T x0) of local sample i)."""
+
+    x0: np.ndarray
+    z0_deriv: np.ndarray
+    grad0: np.ndarray
+    eta: float
+    K: int
+    lam: float
 
 
 class EpochWorkspace:
@@ -17,34 +35,31 @@ class EpochWorkspace:
         self.active = active
         if sample_ids is None:
             sample_ids = np.arange(data.n)
-        self.sample_ids = np.asarray(sample_ids, dtype=np.int64)
-        self.n_local = len(self.sample_ids)
-        self.targets = data.targets[self.sample_ids]
-        self.csr_c = data.csr[self.sample_ids][:, active.feat_ids].tocsr()
+        sample_ids = np.asarray(sample_ids, dtype=np.int64)
+        self.n_local = len(sample_ids)
+        self.targets = data.targets[sample_ids]
+        self.csr_c = data.csr[sample_ids][:, active.feat_ids].tocsr()
         self.csr_c.sort_indices()
 
         fmap = active.feat_map
-        self.singleton = partition.singleton
         self.rows_idx = []
         self.rows_val = []
         self.tf = []            # touched compact features (whole blocks)
         self.rpos = []          # positions of the row support inside tf
         self.dvec = []          # d_G per touched feature
-        self.block_ids = []     # touched compact block positions
         self.block_offsets = [] # segment bounds of tf per touched block
         weights = support.weights
-        for i in self.sample_ids:
+        for i in sample_ids:
             idx, val = data.row(i)
             keep = fmap[idx] >= 0
             cidx = fmap[idx[keep]]
             cval = val[keep]
             self.rows_idx.append(cidx)
             self.rows_val.append(cval)
-            if self.singleton:
+            if partition.singleton:
                 tf = cidx
                 rpos = np.arange(len(cidx))
                 dv = weights[active.blocks[cidx]] if len(cidx) else np.empty(0)
-                bids = cidx
                 boff = np.arange(len(cidx) + 1)
             else:
                 bpos = np.unique(active.block_pos[partition.block_of[
@@ -57,13 +72,11 @@ class EpochWorkspace:
                 dv = np.concatenate([
                     np.full(len(s), weights[active.blocks[k]])
                     for k, s in zip(bpos, segs)]) if segs else np.empty(0)
-                bids = np.asarray(bpos, dtype=np.int64)
                 boff = np.concatenate(([0], np.cumsum(
                     [len(s) for s in segs]))).astype(np.int64)
             self.tf.append(tf)
             self.rpos.append(rpos)
             self.dvec.append(dv)
-            self.block_ids.append(bids)
             self.block_offsets.append(boff)
         self._margin_groups = _equal_length_groups(self.rows_idx,
                                                    self.rows_val)
@@ -83,6 +96,12 @@ class EpochWorkspace:
         for rows, idx, vals in self._margin_groups:
             z[rows] = np.matmul(vals, x_c[idx][:, :, None])[:, 0, 0]
         return z
+
+    def anchor(self, model, x_c, grad0, eta, K, lam):
+        """The epoch anchor at the current iterate (copied into x0)."""
+        x0 = x_c.copy()
+        z0_deriv = model.loss.deriv(self.z_of(x0), self.targets)
+        return Anchor(x0, z0_deriv, grad0, eta, K, lam)
 
     def partial_gradient(self, x_c, loss):
         """Unnormalized sum of f_i'(z_i) a_i over this subset (chunk-folded).
@@ -133,12 +152,9 @@ def _prox_blocks(reg, w, thr_vec, block_offsets):
     return out
 
 
-def vr_proposal(ws, model, i_loc, xb, z0_i_deriv, x0b, grad0b, eta, lam):
-    """Variance-reduced sparse step for local sample i.
-
-    ``xb`` is the (possibly inconsistently read) iterate restricted to the
-    touched features ws.tf[i_loc]; returns the additive delta on that support.
-    """
+def _vr_direction(ws, model, i_loc, xb, z0_i_deriv, x0b, grad0b):
+    """Variance-reduced gradient estimate of local sample i on its touched
+    features: d * (grad0 + mu_f (x - x0)) + (f'(a_i^T x) - f'(a_i^T x0)) a_i."""
     rv = ws.rows_val[i_loc]
     rp = ws.rpos[i_loc]
     dv = ws.dvec[i_loc]
@@ -149,8 +165,18 @@ def vr_proposal(ws, model, i_loc, xb, z0_i_deriv, x0b, grad0b, eta, lam):
         v = v + model.mu_f * dv * (xb - x0b)
     if len(rp):
         v[rp] += c * rv
+    return v
+
+
+def vr_proposal(ws, model, i_loc, xb, z0_i_deriv, x0b, grad0b, eta, lam):
+    """Variance-reduced sparse step for local sample i.
+
+    ``xb`` is the (possibly inconsistently read) iterate restricted to the
+    touched features ws.tf[i_loc]; returns the additive delta on that support.
+    """
+    v = _vr_direction(ws, model, i_loc, xb, z0_i_deriv, x0b, grad0b)
     w = xb - eta * v
-    wnew = _prox_blocks(model.reg, w, eta * lam * dv,
+    wnew = _prox_blocks(model.reg, w, eta * lam * ws.dvec[i_loc],
                         ws.block_offsets[i_loc])
     return wnew - xb
 
@@ -162,18 +188,8 @@ def vr_estimate(ws, model, i_loc, x, z0_i_deriv, x0, grad0):
     supported on the touched blocks of local sample i.
     """
     idx = ws.tf[i_loc]
-    xb = x[idx]
-    rv = ws.rows_val[i_loc]
-    rp = ws.rpos[i_loc]
-    dv = ws.dvec[i_loc]
-    zhat = margin(rv, xb[rp])
-    c = model.loss.deriv(zhat, ws.targets[i_loc]) - z0_i_deriv
-    v = dv * grad0[idx]
-    if model.mu_f > 0:
-        v = v + model.mu_f * dv * (xb - x0[idx])
-    if len(rp):
-        v[rp] += c * rv
-    return idx, v
+    return idx, _vr_direction(ws, model, i_loc, x[idx], z0_i_deriv, x0[idx],
+                              grad0[idx])
 
 
 def naive_proposal(ws, model, i_loc, xb, eta_t, lam):
@@ -206,3 +222,44 @@ def naive_apply(reg, xb, v, eta_t, lam, block_offsets):
 def naive_step_size(eta0, t_global, K):
     """Diminishing schedule for the non-variance-reduced mode."""
     return eta0 / (1.0 + t_global / K)
+
+
+def run_steps(ws, model, rng, k, read, commit, anchor, step="vr", t0=0,
+              commit_empty=False):
+    """The step loop of every backend: k steps on the samples of ``ws``.
+
+    Each step draws a local sample i from ``rng``, reads the iterate on its
+    touched features with ``read(idx)``, runs the kernel that ``step``
+    names and hands its output to ``commit(idx, out)``: the additive delta
+    of ``vr_proposal`` ("vr"), the new values of ``naive_proposal`` at the
+    worker's naive step t0 + j ("naive"), or the raw ``naive_gradient``
+    whose step the distributed server completes ("gradient").  A sample with
+    no active feature, or any step on an empty shard, calls no kernel: it is
+    skipped, or committed as an empty support if ``commit_empty``.  Returns
+    the coordinate touches.
+    """
+    x0, z0_deriv, grad0, eta, K, lam = anchor
+    n = ws.n_local
+    touches = 0
+    for j in range(k):
+        if n:
+            i = int(rng.integers(n))
+            idx = ws.tf[i]
+        else:
+            idx = _NO_IDS
+        if not len(idx):
+            if commit_empty:
+                commit(idx, _NO_VALS)
+            continue
+        xb = read(idx)
+        if step == "vr":
+            out = vr_proposal(ws, model, i, xb, z0_deriv[i], x0[idx],
+                              grad0[idx], eta, lam)
+        elif step == "naive":
+            out = naive_proposal(ws, model, i, xb,
+                                 naive_step_size(eta, t0 + j, K), lam)
+        else:
+            out = naive_gradient(ws, model, i, xb)
+        commit(idx, out)
+        touches += len(idx)
+    return touches

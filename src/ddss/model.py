@@ -79,8 +79,6 @@ class GroupL2Norm:
 
     name = "group_l2"
     separable = False
-    power_tol = 1e-10
-    power_maxiter = 1000
 
     def block_value(self, v):
         return float(np.linalg.norm(v))
@@ -95,25 +93,24 @@ class GroupL2Norm:
         return (1.0 - t / nrm) * v
 
     def matrix_dual_norm(self, cols):
-        """Spectral norm of the n x |G| submatrix, by power iteration."""
-        cols = cols.tocsc() if hasattr(cols, "tocsc") else np.asarray(cols)
-        m = cols.shape[1]
+        """Guaranteed upper bound on the spectral norm of the n x m block.
+
+        The exact top eigenvalue (``eigvalsh``) of the Gram matrix, plus a
+        rounding allowance: the computed Gram is within n*eps*tr(G) of the
+        exact one in 2-norm, and eigvalsh is backward stable (error a small
+        multiple of m*eps*||G||), so (n + m^2 + 2)*eps*tr(G) covers both.
+        The safe test needs an upper bound; a power iteration converges from
+        below and returns 0 on a block [a, -a] started from all ones.
+        """
+        n, m = cols.shape
         if m == 0:
             return 0.0
-        v = np.full(m, 1.0 / np.sqrt(m))
-        sigma = 0.0
-        for _ in range(self.power_maxiter):
-            w = cols.T @ (cols @ v)
-            nrm = np.linalg.norm(w)
-            if nrm == 0.0:
-                return 0.0
-            v_new = w / nrm
-            if abs(nrm - sigma) <= self.power_tol * max(1.0, nrm):
-                sigma = nrm
-                break
-            sigma = nrm
-            v = v_new
-        return float(np.sqrt(sigma))
+        gram = cols.T @ cols
+        gram = gram.toarray() if hasattr(gram, "toarray") else np.asarray(gram)
+        top = max(float(np.linalg.eigvalsh(gram)[-1]), 0.0)
+        slack = (n + m * m + 2) * np.finfo(float).eps * float(np.trace(gram))
+        bound = np.sqrt(top + slack)
+        return float(np.nextafter(bound, np.inf)) if bound else 0.0
 
     def ridge_conjugate(self, w, lam, mu):
         s = max(np.linalg.norm(w) - lam, 0.0)
@@ -182,16 +179,19 @@ def residual_dual_vector(model, data, x):
     return model.loss.deriv(z, data.targets)
 
 
-def dual_scale(model, data, u, active_blocks=None, gsum=None):
+def _max_block_dual_norm(model, gsum):
+    dmax = 0.0
+    for b in model.partition.blocks:
+        dmax = max(dmax, model.reg.block_dual_norm(gsum[b]))
+    return dmax
+
+
+def dual_scale(model, data, u, gsum=None):
     """Scale -u into the dual feasible region (block dual norms <= n*lam)."""
     _, nlam = model.lambdas(data.n)
     if gsum is None:
         gsum = gradient_sum(data, u)
-    blocks = (model.partition.blocks if active_blocks is None
-              else [model.partition.blocks[j] for j in active_blocks])
-    dmax = 0.0
-    for b in blocks:
-        dmax = max(dmax, model.reg.block_dual_norm(gsum[b]))
+    dmax = _max_block_dual_norm(model, gsum)
     scale = max(1.0, dmax / nlam) if nlam > 0 else max(1.0, dmax)
     return -u / scale
 
@@ -248,11 +248,7 @@ def prox_weighted(reg, partition, support, i, x, t):
 def critical_lambda_scaled(model, data):
     """n * lambda_max: the dual norm of A^T u at x = 0."""
     u0 = model.loss.deriv(np.zeros(data.n), data.targets)
-    gsum = gradient_sum(data, u0)
-    dmax = 0.0
-    for b in model.partition.blocks:
-        dmax = max(dmax, model.reg.block_dual_norm(gsum[b]))
-    return float(dmax)
+    return float(_max_block_dual_norm(model, gradient_sum(data, u0)))
 
 
 def lambda_max(model, data):

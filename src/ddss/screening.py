@@ -4,8 +4,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import (build_support_map, column_dual_norms, smoothness_constant,
-                   GRAD_CHUNK)
+from .data import (build_support_map, chunked_AT_u, column_dual_norms,
+                   gradient_sum, smoothness_constant)
 from .model import dual_objective, regularizer_value
 
 # Relative width of the tie band around the elimination threshold.  A block
@@ -112,22 +112,6 @@ def precompute(model, data):
     return ProblemStats(model, data)
 
 
-def chunked_AT_u(csr, u, pool=None):
-    """csr.T @ u folded at the fixed chunk granularity (order-stable)."""
-    n, p = csr.shape
-    bounds = list(range(0, n, GRAD_CHUNK)) + [n]
-    ranges = [(bounds[k], bounds[k + 1]) for k in range(len(bounds) - 1)]
-    if pool is None:
-        partials = [csr[a:b].T @ u[a:b] for a, b in ranges]
-    else:
-        partials = list(pool.map(lambda r: csr[r[0]:r[1]].T @ u[r[0]:r[1]],
-                                 ranges))
-    out = np.zeros(p)
-    for part in partials:
-        out += part
-    return out
-
-
 def compact_regularizer_value(reg, active, x_c):
     if reg.separable:
         return reg.block_value(x_c)
@@ -166,23 +150,34 @@ def evaluate_screen(model, data, stats, active, csr_c, x_c, gsum=None,
         for k in range(active.q_s)])
 
     screen = model.screening_enabled if force_screen is None else force_screen
-    if screen:
+    if screen or model.mu_f == 0:
         dmax = block_dual.max() if active.q_s else 0.0
         scale = max(1.0, dmax / nlam) if nlam > 0 else max(1.0, dmax)
         ys = -u / scale
         d_val = dual_objective(model, data, ys)
-        gap = p_val - d_val
-        # A gap below the rounding error of the objective evaluation is
-        # numerically zero; without the floor, ulp-level differences in the
-        # gradient fold (e.g. distributed shard partials) manufacture a tiny
-        # positive gap whose radius pushes exact ties out of the tie band.
-        gap_floor = 256.0 * np.finfo(float).eps * max(abs(p_val),
-                                                      abs(d_val))
-        if gap < gap_floor:
-            gap = 0.0
-        # Dual-ball radius from the (1/(n*gamma))-strong concavity of D:
-        # ||ys - y*||^2 <= 2*n*gamma*(P(x) - D(ys)).
-        radius = np.sqrt(2.0 * data.n * loss.gamma * gap)
+    else:
+        # No elimination this pass, and with a ridge the gap uses the
+        # ridge-aware conjugate of the penalty (finite everywhere, no dual
+        # scaling needed).
+        ys = -u
+        d_val = dual_objective(model, data, ys)
+        for k in range(active.q_s):
+            d_val -= reg.ridge_conjugate(
+                -gsum[active.block_slice(k)] / data.n, lam, model.mu_f)
+    gap = p_val - d_val
+    # When screening, a gap below the rounding error of the objective
+    # evaluation is numerically zero; without the floor, ulp-level
+    # differences in the gradient fold (e.g. distributed shard partials)
+    # manufacture a tiny positive gap whose radius pushes exact ties out of
+    # the tie band.
+    gap_floor = (256.0 * np.finfo(float).eps * max(abs(p_val), abs(d_val))
+                 if screen else 0.0)
+    if gap < gap_floor:
+        gap = 0.0
+    # Dual-ball radius from the (1/(n*gamma))-strong concavity of D:
+    # ||ys - y*||^2 <= 2*n*gamma*(P(x) - D(ys)).
+    radius = np.sqrt(2.0 * data.n * loss.gamma * gap)
+    if screen:
         lhs = block_dual / scale + stats.col_dual[active.blocks] * radius
         margins = nlam - lhs
         blk_nonzero = np.array([
@@ -191,28 +186,9 @@ def evaluate_screen(model, data, stats, active, csr_c, x_c, gsum=None,
         below = lhs < nlam * (1.0 - _TIE_RTOL)
         in_band = ~below & (lhs <= nlam * (1.0 + _TIE_RTOL))
         elim = below | (in_band & ~blk_nonzero)
-        keep = ~elim
-        survivors = active.blocks[keep]
-        eliminated = active.blocks[~keep]
+        survivors = active.blocks[~elim]
+        eliminated = active.blocks[elim]
     else:
-        # No elimination this pass.  With a ridge the gap uses the
-        # ridge-aware conjugate of the penalty (finite everywhere, no dual
-        # scaling needed); without one it falls back to the scaled dual.
-        if model.mu_f > 0:
-            ys = -u
-            d_val = dual_objective(model, data, ys)
-            for k in range(active.q_s):
-                d_val -= reg.ridge_conjugate(
-                    -gsum[active.block_slice(k)] / data.n, lam, model.mu_f)
-        else:
-            dmax = block_dual.max() if active.q_s else 0.0
-            scale = max(1.0, dmax / nlam) if nlam > 0 else max(1.0, dmax)
-            ys = -u / scale
-            d_val = dual_objective(model, data, ys)
-        gap = p_val - d_val
-        if gap < 0.0:
-            gap = 0.0
-        radius = np.sqrt(2.0 * data.n * loss.gamma * gap)
         margins = np.full(active.q_s, np.nan)
         survivors = active.blocks.copy()
         eliminated = np.empty(0, dtype=np.int64)
@@ -224,24 +200,9 @@ def evaluate_screen(model, data, stats, active, csr_c, x_c, gsum=None,
     return report, grad, ys
 
 
-def screen_pass(model, data, stats, active, x_c, csr_c=None, pool=None):
-    """Full screening pass: evaluate, shrink, and compact the anchor.
-
-    Returns (new_active, report, grad0 on the new set, ys).
-    """
-    if csr_c is None:
-        csr_c = data.csr[:, active.feat_ids]
-    report, grad, ys = evaluate_screen(
-        model, data, stats, active, csr_c, x_c, pool=pool)
-    new_active = active.restrict(report.survivors)
-    grad0 = grad[active.subset_positions(new_active)]
-    return new_active, report, grad0, ys
-
-
 def equicorrelation_set(model, data, x_star, rtol=1e-6):
     """Blocks whose dual correlation attains n*lam at the (oracle) optimum."""
     from .model import residual_dual_vector, dual_scale
-    from .data import gradient_sum
 
     _, nlam = model.lambdas(data.n)
     u = residual_dual_vector(model, data, x_star)

@@ -9,8 +9,7 @@ from time import perf_counter
 import numpy as np
 
 from .data import gradient_sum
-from .engine import (EpochWorkspace, naive_proposal, naive_step_size,
-                     vr_proposal)
+from .engine import EpochWorkspace, run_steps
 from .model import duality_gap, prox_full, primal_objective
 from .screening import ActiveSet, evaluate_screen, precompute
 from .trace import TraceRecord
@@ -62,10 +61,10 @@ class SolveResult:
     tau_hat: float
 
 
-def resolve_step(config, model, stats, n):
-    """Step size and inner-loop length, following the strong-convexity
-    defaults when a ridge makes the smooth part strongly convex."""
-    L = stats.L
+def resolve_step(config, model, L, n):
+    """Step size and inner-loop length from the smoothness constant L,
+    following the strong-convexity defaults when a ridge makes the smooth
+    part strongly convex."""
     mu = model.mu_f
     if config.eta is not None:
         eta = config.eta
@@ -105,8 +104,9 @@ def run_epochs(model, data, config, inner_fn, pool=None, epoch_callback=None,
     """Shared outer loop of every backend: screen at the epoch head,
     re-anchor, run inner_fn.
 
-    ``inner_fn(s, ws, x, x0, z0_deriv, grad0, eta, K, lam)`` mutates ``x``
-    in place and returns (coordinate_touches, staleness).
+    ``inner_fn(s, ws, x, anchor)`` mutates ``x`` in place and returns
+    (coordinate_touches, staleness); ``anchor`` is the epoch's
+    ``engine.Anchor``.
     ``epoch_callback(s, active, x_expanded)``, when given, observes the
     iterate after each epoch's inner loop.
     ``gather(s, x)``, when given, returns the pre-reduced A_c^T u of the
@@ -114,8 +114,7 @@ def run_epochs(model, data, config, inner_fn, pool=None, epoch_callback=None,
     it itself.
     """
     stats = precompute(model, data)
-    lam, _ = model.lambdas(data.n)
-    eta, K = resolve_step(config, model, stats, data.n)
+    eta, K = resolve_step(config, model, stats.L, data.n)
     screen = config.mode != "prox_svrg" and model.screening_enabled
 
     active = ActiveSet(model.partition)
@@ -142,20 +141,15 @@ def run_epochs(model, data, config, inner_fn, pool=None, epoch_callback=None,
         if len(report.eliminated):
             eliminated_log.append((s, report.eliminated))
         new_active = active.restrict(report.survivors)
+        grad0 = grad
         if new_active.p_s != active.p_s:
             grad0 = grad[active.subset_positions(new_active)]
             x = active.restrict_vector(x, new_active)
-            active = new_active
-            ws = EpochWorkspace(data, model.partition, stats.support, active)
-        else:
-            grad0 = grad
-            active = new_active
-        x0 = x.copy()
-        z0 = ws.z_of(x0)
-        z0_deriv = model.loss.deriv(z0, data.targets)
-
-        touches, staleness = inner_fn(s, ws, x, x0, z0_deriv, grad0, eta, K,
-                                      lam)
+            ws = EpochWorkspace(data, model.partition, stats.support,
+                                new_active)
+        active = new_active
+        anchor = ws.anchor(model, x, grad0, eta, K, stats.lam)
+        touches, staleness = inner_fn(s, ws, x, anchor)
         touches_total += touches
         tau_hat = max(tau_hat, staleness)
         trace.append(TraceRecord(
@@ -178,41 +172,22 @@ def run_epochs(model, data, config, inner_fn, pool=None, epoch_callback=None,
         touches=touches_total, tau_hat=tau_hat)
 
 
-def _sequential_inner(model, data, config):
-    n = data.n
-    state = {"t": 0}  # naive-mode diminishing-step counter
-
-    def inner(s, ws, x, x0, z0_deriv, grad0, eta, K, lam):
-        rng = rng_for(config.seed, 0, s)
-        touches = 0
-        naive = config.mode == "ddss_naive"
-        for _ in range(K):
-            i = int(rng.integers(n))
-            idx = ws.tf[i]
-            if naive:
-                eta_t = naive_step_size(eta, state["t"], K)
-                state["t"] += 1
-                if len(idx) == 0:
-                    continue
-                xb = x[idx]
-                x[idx] = naive_proposal(ws, model, i, xb, eta_t, lam)
-            else:
-                if len(idx) == 0:
-                    continue
-                xb = x[idx]
-                delta = vr_proposal(ws, model, i, xb, z0_deriv[i], x0[idx],
-                                    grad0[idx], eta, lam)
-                x[idx] += delta
-            touches += len(idx)
-        return touches, 0.0
-
-    return inner
-
-
 def solve_sequential(model, data, config, epoch_callback=None):
     """Single-threaded solver; the semantic ground truth for all backends."""
-    return run_epochs(model, data, config,
-                      _sequential_inner(model, data, config),
+    naive = config.mode == "ddss_naive"
+
+    def inner(s, ws, x, anchor):
+        if naive:
+            commit = x.__setitem__
+        else:
+            def commit(idx, delta):
+                x[idx] += delta
+        touches = run_steps(ws, model, rng_for(config.seed, 0, s), anchor.K,
+                            x.__getitem__, commit, anchor,
+                            step="naive" if naive else "vr", t0=s * anchor.K)
+        return touches, 0.0
+
+    return run_epochs(model, data, config, inner,
                       epoch_callback=epoch_callback)
 
 

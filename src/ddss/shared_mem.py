@@ -11,7 +11,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from .engine import naive_proposal, naive_step_size, vr_proposal
+from .engine import run_steps
 from .sequential import run_epochs, rng_for, split_inner
 
 
@@ -39,33 +39,29 @@ class SharedIterate:
         np.add.at(self._version, 0, 1)
 
 
-def _worker_loop(shared, ws, model, config, wid, epoch, k_w, n, eta, K, lam,
-                 x0, z0_deriv, grad0, t_counter):
-    rng = rng_for(config.seed, wid, epoch)
+def _worker_loop(shared, ws, model, config, wid, epoch, k_w, anchor):
+    """One thread's share of an epoch: ``run_steps`` reading and committing
+    through ``shared``, with the overlap of each step measured."""
     naive = config.mode == "ddss_naive"
-    touches = 0
+    ver0 = 0
     stale_max = 0
-    for _ in range(k_w):
-        i = int(rng.integers(n))
-        idx = ws.tf[i]
+
+    def read(idx):
+        nonlocal ver0
+        xb, ver0 = shared.read(idx)
+        return xb
+
+    def commit(idx, out):
+        nonlocal stale_max
+        stale_max = max(stale_max, shared.version() - ver0)
         if naive:
-            eta_t = naive_step_size(eta, t_counter[wid], K)
-            t_counter[wid] += 1
-            if len(idx) == 0:
-                continue
-            xb, ver0 = shared.read(idx)
-            wnew = naive_proposal(ws, model, i, xb, eta_t, lam)
-            stale_max = max(stale_max, shared.version() - ver0)
-            shared.commit_overwrite(idx, wnew)
+            shared.commit_overwrite(idx, out)
         else:
-            if len(idx) == 0:
-                continue
-            xb, ver0 = shared.read(idx)
-            delta = vr_proposal(ws, model, i, xb, z0_deriv[i], x0[idx],
-                                grad0[idx], eta, lam)
-            stale_max = max(stale_max, shared.version() - ver0)
-            shared.commit_add(idx, delta)
-        touches += len(idx)
+            shared.commit_add(idx, out)
+
+    touches = run_steps(ws, model, rng_for(config.seed, wid, epoch), k_w,
+                        read, commit, anchor,
+                        step="naive" if naive else "vr", t0=epoch * k_w)
     return touches, stale_max
 
 
@@ -78,17 +74,14 @@ def solve_shared(model, data, config, threads=4):
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    n = data.n
-    t_counter = [0] * threads
     pool = ThreadPoolExecutor(max_workers=threads)
 
-    def inner(s, ws, x, x0, z0_deriv, grad0, eta, K, lam):
+    def inner(s, ws, x, anchor):
         shared = SharedIterate(x)
-        splits = split_inner(K, threads)
+        splits = split_inner(anchor.K, threads)
         futs = [
             pool.submit(_worker_loop, shared, ws, model, config, w, s,
-                        splits[w], n, eta, K, lam, x0, z0_deriv, grad0,
-                        t_counter)
+                        splits[w], anchor)
             for w in range(threads)
         ]
         touches = 0

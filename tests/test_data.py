@@ -60,10 +60,16 @@ class TestSparseDataset:
         rng = np.random.default_rng(0)
         A = np.where(rng.random((30, 20)) < 0.3, rng.normal(size=(30, 20)), 0)
         ds = SparseDataset(sp.csr_matrix(A), rng.normal(size=30))
-        for _ in range(1000):
-            i = int(rng.integers(30))
-            j = int(rng.integers(20))
-            assert ds.value(i, j) == ds.value_by_col(i, j) == A[i, j]
+        assert np.array_equal(ds.csr.toarray(), A)
+        assert np.array_equal(ds.csc.toarray(), A)
+        for i in range(30):
+            idx, val = ds.row(i)
+            assert idx.tolist() == np.flatnonzero(A[i]).tolist()
+            assert np.array_equal(val, A[i, idx])
+        for j in range(20):
+            idx, val = ds.col(j)
+            assert idx.tolist() == np.flatnonzero(A[:, j]).tolist()
+            assert np.array_equal(val, A[idx, j])
 
     def test_degenerate_shapes_rejected(self):
         with pytest.raises(ValueError):
@@ -163,6 +169,23 @@ class TestNorms:
         for j, b in enumerate(part.blocks):
             sigma = np.linalg.svd(A[:, b], compute_uv=False)[0]
             assert abs(out[j] - sigma) <= 1e-8 * sigma
+
+    def test_group_dual_norm_is_upper_bound(self):
+        rng = np.random.default_rng(2)
+        a = rng.normal(size=40)
+        blocks = [np.c_[a, -a]]  # a power iteration from ones returns 0 here
+        for _ in range(50):
+            n, m = int(rng.integers(1, 60)), int(rng.integers(1, 8))
+            blocks.append(np.where(rng.random((n, m)) < 0.4,
+                                   rng.normal(size=(n, m)), 0.0))
+        for B in blocks:
+            sigma = np.linalg.norm(B, 2)
+            for cols in (B, sp.csc_matrix(B)):
+                bound = GroupL2Norm().matrix_dual_norm(cols)
+                assert sigma <= bound <= sigma * (1 + 1e-9) + 1e-300
+        assert abs(GroupL2Norm().matrix_dual_norm(blocks[0])
+                   - np.sqrt(2) * np.linalg.norm(a)) <= 1e-12 * np.linalg.norm(a)
+        assert GroupL2Norm().matrix_dual_norm(np.zeros((3, 2))) == 0.0
 
     def test_smoothness_constant(self):
         ds = parse_libsvm("0 1:1\n0 2:2")

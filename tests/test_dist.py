@@ -5,10 +5,14 @@ import numpy as np
 import pytest
 
 import ddss.distributed
+import ddss.engine
+import ddss.screening
 from conftest import interleaved_group_lasso, lasso_model, random_lasso
 from ddss import traces_equal
-from ddss.distributed import (Message, Tag, decode_body, dist_solve, encode,
-                              shard_ranges, _block_offsets_for)
+from ddss.distributed import (LoopbackHub, Message, Tag, decode_body,
+                              dist_solve, encode, run_dist_server,
+                              run_dist_worker, shard_ranges,
+                              _block_offsets_for)
 from ddss.model import primal_objective
 from ddss.screening import ActiveSet
 from ddss.sequential import (DivergenceError, SolverConfig, oracle_solve,
@@ -149,6 +153,35 @@ class TestMultiWorker:
         assert np.all(res.x == 0.0)
         assert res.trace[-1].active_blocks == 0
 
+    def test_empty_shards_loopback_matches_tcp(self):
+        # 3 rows over 5 workers: workers 3 and 4 own no rows and push only
+        # empty deltas
+        ds = random_lasso(3, 6, 0.8, seed=12)
+        m = lasso_model(ds, ratio=0.3)
+        cfg = SolverConfig(epochs=4, seed=0)
+        loop = dist_solve(m, ds, cfg, n_workers=5, sync=True,
+                          transport="loopback")
+        tcp = dist_solve(m, ds, cfg, n_workers=5, sync=True, transport="tcp")
+        assert loop.touches > 0
+        assert traces_equal(loop.trace, tcp.trace)
+        assert np.array_equal(loop.x, tcp.x)
+        assert loop.touches == tcp.touches
+
+    def test_column_dual_norms_computed_once(self, monkeypatch):
+        # only the server screens; workers need the support map and L only
+        calls = itertools.count()
+        real = ddss.screening.column_dual_norms
+
+        def counting(*args, **kwargs):
+            next(calls)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(ddss.screening, "column_dual_norms", counting)
+        ds = random_lasso(40, 12, 0.8, seed=8)
+        m = lasso_model(ds, ratio=0.3)
+        dist_solve(m, ds, SolverConfig(epochs=2, seed=0), n_workers=2)
+        assert next(calls) == 1
+
     def test_invalid_worker_count(self):
         ds = random_lasso(10, 5, 1.0, seed=0)
         m = lasso_model(ds, ratio=0.5)
@@ -257,14 +290,14 @@ class TestWorkerFault:
     @pytest.mark.parametrize("workers", [1, 2])
     def test_worker_error_ends_solve(self, monkeypatch, transport, workers):
         calls = itertools.count(1)
-        real = ddss.distributed.vr_proposal
+        real = ddss.engine.vr_proposal
 
         def faulty(*args, **kwargs):
             if next(calls) >= 5:
                 raise ValueError("injected worker fault")
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(ddss.distributed, "vr_proposal", faulty)
+        monkeypatch.setattr(ddss.engine, "vr_proposal", faulty)
         ds = random_lasso(40, 12, 0.8, seed=5)
         m = lasso_model(ds, ratio=0.3)
         exc = _raises_within(10, lambda: dist_solve(
@@ -272,6 +305,36 @@ class TestWorkerFault:
             transport=transport))
         assert isinstance(exc, RuntimeError)
         assert isinstance(exc.__cause__, ValueError)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_shutdown_mid_epoch_stops_worker_cleanly(self, workers):
+        # the server diverges at the head of epoch 1, after the workers sent
+        # their partial gradients: they get SHUTDOWN instead of
+        # GRAD_AND_ACTIVE and must return without an error
+        ds = random_lasso(30, 10, 1.0, seed=10)
+        m = lasso_model(ds, ratio=0.05)
+        cfg = SolverConfig(epochs=30, seed=0, eta=500.0)
+        hub = LoopbackHub(workers)
+        outcomes = []
+
+        def worker(wid):
+            try:
+                run_dist_worker(m, ds, cfg, hub.worker_endpoint(wid), wid,
+                                workers)
+            except BaseException as exc:
+                outcomes.append(exc)
+            else:
+                outcomes.append(None)
+
+        threads = [threading.Thread(target=worker, args=(w,), daemon=True)
+                   for w in range(workers)]
+        for th in threads:
+            th.start()
+        with pytest.raises(DivergenceError):
+            run_dist_server(m, ds, cfg, hub.server_endpoint(), workers)
+        for th in threads:
+            th.join(timeout=10)
+        assert outcomes == [None] * workers
 
     def test_server_divergence_releases_workers(self):
         ds = random_lasso(30, 10, 1.0, seed=10)

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import lasso_model, random_lasso
-from ddss import BlockPartition, ModelSpec, parse_libsvm
-from ddss.model import L1Norm, SquaredLoss, primal_objective
+from ddss import BlockPartition, ModelSpec, SparseDataset, parse_libsvm
+from ddss.model import GroupL2Norm, L1Norm, SquaredLoss, primal_objective
 from ddss.screening import (ActiveSet, ScreeningSafetyError,
-                            equicorrelation_set, precompute, screen_pass)
+                            equicorrelation_set, evaluate_screen, precompute)
 from ddss.sequential import SolverConfig, oracle_solve, solve_sequential
 
 
@@ -55,23 +56,25 @@ class TestActiveSet:
         assert a.restrict_vector(v, b).tolist() == [8.0, 7.0]
 
 
+def _screen_at(model, data, x):
+    """One screen over the full active set at x: (new active set, report)."""
+    active = ActiveSet(model.partition)
+    report, _, _ = evaluate_screen(model, data, precompute(model, data),
+                                   active, data.csr, x)
+    return active.restrict(report.survivors), report
+
+
 class TestScreenPass:
     def test_zero_column_always_eliminated(self):
         ds = parse_libsvm("1 1:1\n-1 1:2", n_features=3)
         m = lasso_model(ds, ratio=0.5)
-        stats = precompute(m, ds)
-        active = ActiveSet(m.partition)
-        new, report, grad0, ys = screen_pass(m, ds, stats, active,
-                                             np.zeros(3))
+        new, report = _screen_at(m, ds, np.zeros(3))
         assert 1 not in new.blocks and 2 not in new.blocks
 
     def test_survivors_empty_at_critical_lambda(self):
         ds = random_lasso(30, 12, 1.0, seed=2)
         m = lasso_model(ds, ratio=1.0)
-        stats = precompute(m, ds)
-        new, report, _, _ = screen_pass(m, ds, stats,
-                                        ActiveSet(m.partition),
-                                        np.zeros(ds.p))
+        new, report = _screen_at(m, ds, np.zeros(ds.p))
         assert report.gap == 0.0
         assert len(new.blocks) == 0
 
@@ -98,9 +101,7 @@ class TestScreenPass:
     def test_margins_aligned_with_tested(self):
         ds = random_lasso(25, 8, 1.0, seed=5)
         m = lasso_model(ds, ratio=0.4)
-        stats = precompute(m, ds)
-        new, report, _, _ = screen_pass(m, ds, stats, ActiveSet(m.partition),
-                                        np.zeros(ds.p))
+        new, report = _screen_at(m, ds, np.zeros(ds.p))
         assert len(report.margins) == len(report.tested) == ds.p
         _, nlam = m.lambdas(ds.n)
         for j, margin in zip(report.tested, report.margins):
@@ -124,6 +125,32 @@ class TestSafety:
             for j in eliminated:
                 assert abs(xs[j]) <= 1e-9, (trial, j, xs[j])
             assert np.all(res.x[list(eliminated)] == 0.0)
+
+
+    def test_negated_column_group_never_unsafely_eliminated(self):
+        # group 0 is [a, -a]: a power iteration started from the all-ones
+        # vector finds its spectral norm 0, which drops the radius term of
+        # the safe test for that group
+        group0_nonzero = 0
+        for trial in range(10):
+            rng = np.random.default_rng(900 + trial)
+            n, p = 40, 12
+            A = np.where(rng.random((n, p)) < 0.5, rng.normal(size=(n, p)),
+                         0.0)
+            A[:, 1] = -A[:, 0]
+            x_true = np.zeros(p)
+            x_true[[0, 4, 7]] = [1.0, rng.normal(), rng.normal()]
+            y = A @ x_true + 0.05 * rng.normal(size=n)
+            ds = SparseDataset(sp.csr_matrix(A), y)
+            part = BlockPartition.contiguous(p, 2)
+            m = lasso_model(ds, ratio=float(rng.choice([0.2, 0.4])),
+                            reg=GroupL2Norm(), partition=part)
+            res = solve_sequential(m, ds, SolverConfig(epochs=6, seed=trial))
+            xs = oracle_solve(m, ds, tol_gap=1e-10)
+            group0_nonzero += bool(np.any(xs[:2] != 0.0))
+            for g in set(range(part.q)) - set(res.active.blocks.tolist()):
+                assert np.all(np.abs(xs[part.blocks[g]]) <= 1e-9), (trial, g)
+        assert group0_nonzero >= 5
 
 
 class TestEquicorrelation:

@@ -27,7 +27,7 @@ class TestSolverConfig:
         ds = random_lasso(20, 8, 1.0, seed=0, row_norm=1.0)
         m = lasso_model(ds, ratio=0.3, mu_f=1e-2)
         stats = precompute(m, ds)
-        eta, K = resolve_step(SolverConfig(), m, stats, ds.n)
+        eta, K = resolve_step(SolverConfig(), m, stats.L, ds.n)
         L = stats.L
         kappa = L / 1e-2
         assert eta == min(1.0 / (24 * kappa * L), kappa / (2 * L))
@@ -38,7 +38,8 @@ class TestSolverConfig:
         m = lasso_model(ds, ratio=0.3, mu_f=0.5)
         stats = precompute(m, ds)
         kappa = stats.L / 0.5
-        eta, _ = resolve_step(SolverConfig(tau_assumed=100.0), m, stats, ds.n)
+        eta, _ = resolve_step(SolverConfig(tau_assumed=100.0), m, stats.L,
+                              ds.n)
         assert eta == min(1.0 / (24 * kappa * stats.L),
                           kappa / (2 * stats.L),
                           kappa / (10 * 100.0 * stats.L))
@@ -48,7 +49,7 @@ class TestSolverConfig:
         m = lasso_model(ds, ratio=0.3)
         stats = precompute(m, ds)
         with pytest.warns(UserWarning):
-            eta, K = resolve_step(SolverConfig(), m, stats, ds.n)
+            eta, K = resolve_step(SolverConfig(), m, stats.L, ds.n)
         assert eta == 1.0 / (3.0 * stats.L)
         assert K == 2 * ds.n
 
